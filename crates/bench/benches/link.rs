@@ -9,13 +9,15 @@ fn stream_bytes(n: u64, policy: AckPolicy) -> u64 {
     let mut sent = 1u64;
     let mut acked = 0u64;
     link.send_data(End::A, 0xA5, now);
+    let mut evs = Vec::new();
     while acked < n {
-        let evs = link.advance(now);
+        evs.clear();
+        link.advance(now, &mut evs);
         if evs.is_empty() {
             now = link.next_deadline().expect("active");
             continue;
         }
-        for ev in evs {
+        for &ev in &evs {
             match ev {
                 LinkEvent::DataStarted { to: End::B } if policy == AckPolicy::Early => {
                     link.send_ack(End::B, now)

@@ -18,8 +18,10 @@ fn stream(n: u64, policy: AckPolicy) -> u64 {
     let mut sent = 1u64;
     let mut delivered = 0u64;
     link.send_data(End::A, 0x5A, now);
+    let mut evs = Vec::new();
     loop {
-        let evs = link.advance(now);
+        evs.clear();
+        link.advance(now, &mut evs);
         if evs.is_empty() {
             match link.next_deadline() {
                 Some(d) => {
@@ -29,7 +31,7 @@ fn stream(n: u64, policy: AckPolicy) -> u64 {
                 None => break,
             }
         }
-        for ev in evs {
+        for &ev in &evs {
             match ev {
                 LinkEvent::DataStarted { to: End::B } if policy == AckPolicy::Early => {
                     link.send_ack(End::B, now);

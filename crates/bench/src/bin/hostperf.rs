@@ -332,7 +332,7 @@ fn switching_table_and_gate(networks: &[NetRun], problems: &mut Vec<String>) {
             worm.cut_through
                 .map_or("n/a".to_string(), |c| c.to_string()),
         );
-        if base == "e17_longpath1024" && !(reduction >= 2.0) {
+        if base == "e17_longpath1024" && (reduction.is_nan() || reduction < 2.0) {
             let msg = format!(
                 "wormhole ablation: e17_longpath1024 mean hop reduction {reduction:.2}x \
                  below the 2x bar"

@@ -22,7 +22,9 @@ use transputer_apps::dbsearch::{DbSearch, DbSearchConfig};
 use transputer_apps::DbSearchReport;
 use transputer_bench::corpus::CORPUS;
 use transputer_bench::hostperf::{
-    board128_smoke, hypercube_smoke, routed_hypercube_smoke, routed_smoke,
+    board128_smoke, faulted, faulted_hypercube, grid32x32_stress, hypercube256, hypercube_smoke,
+    routed_hypercube256, routed_hypercube_smoke, routed_smoke, run_hypercube, run_routed,
+    run_routed_hypercube, NetRun, FAULT_RATE_DEFAULT, FAULT_SEED_DEFAULT,
 };
 use transputer_link::FaultPlan;
 use transputer_net::topology::grid_edge_wire;
@@ -702,4 +704,60 @@ fn routed_wire_death_merges_identically_across_engines() {
             assert_run_matches(&label, sim, report, base_sim, base_report);
         }
     }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full-size networks take minutes unoptimised; run with --release"
+)]
+fn committed_sliced_fingerprints_are_pinned() {
+    // The Sliced-engine outcome fingerprints committed in
+    // BENCH_host.json (FNV-1a over answers, answer times, per-node halt
+    // cycles and instruction counters, per-wire delivered bytes). A
+    // refactor or optimisation of the engines must leave every one of
+    // them unmoved; the cross-engine sweeps above would not notice a
+    // change that moved all engines together.
+    let check = |got: NetRun, want: u64| {
+        assert!(got.answers_ok, "{}: answers wrong", got.bench);
+        assert_eq!(
+            got.fingerprint, want,
+            "{}: Sliced fingerprint {:016x} moved from the committed {want:016x}",
+            got.bench, got.fingerprint
+        );
+    };
+    check(
+        run_hypercube("e16_hypercube256", hypercube256(), Engine::Sliced),
+        0x93a5_f604_fb66_5b63,
+    );
+    check(
+        run_hypercube(
+            "e16_faulted",
+            faulted_hypercube(hypercube256(), FAULT_SEED_DEFAULT, FAULT_RATE_DEFAULT),
+            Engine::Sliced,
+        ),
+        0xc0f9_e7b4_4fa1_41fc,
+    );
+    check(
+        run_routed_hypercube("e17_routed256", routed_hypercube256(), Engine::Sliced),
+        0x7a26_eb59_3a29_fb6d,
+    );
+    check(
+        run_routed("e17_grid1024", grid32x32_stress(), Engine::Sliced),
+        0x0205_90f7_c744_75c4,
+    );
+    // The smoke row's fault rate: the default scaled up 20x (capped at
+    // 1%) so faults fire on the short run.
+    check(
+        run_routed(
+            "e17_routed_smoke_faulted",
+            faulted(
+                routed_smoke(),
+                FAULT_SEED_DEFAULT,
+                (FAULT_RATE_DEFAULT * 20.0).min(0.01),
+            ),
+            Engine::Sliced,
+        ),
+        0x3534_b533_d572_1fb0,
+    );
 }

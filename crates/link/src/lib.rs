@@ -48,13 +48,15 @@ mod tests {
         let mut delivered = 0usize;
         link.send_data(End::A, 0xA5, now);
         let mut last_ack_time = 0;
+        let mut evs = Vec::new();
         while acked < n {
-            let evs = link.advance(now);
+            evs.clear();
+            link.advance(now, &mut evs);
             if evs.is_empty() {
                 now = link.next_deadline().expect("link active");
                 continue;
             }
-            for ev in evs {
+            for &ev in &evs {
                 match ev {
                     LinkEvent::DataStarted { to: End::B } if policy == AckPolicy::Early => {
                         // Receiver is ready: acknowledge at once.
@@ -82,7 +84,9 @@ mod tests {
         // delivery; drain the wire before checking.
         while let Some(d) = link.next_deadline() {
             now = d;
-            for ev in link.advance(now) {
+            evs.clear();
+            link.advance(now, &mut evs);
+            for &ev in &evs {
                 if let LinkEvent::DataDelivered { to: End::B, .. } = ev {
                     delivered += 1;
                 }
@@ -144,9 +148,12 @@ mod tests {
         let mut got_a = false;
         let mut got_b = false;
         let mut now = 0;
+        let mut evs = Vec::new();
         while let Some(d) = link.next_deadline() {
             now = d;
-            for ev in link.advance(now) {
+            evs.clear();
+            link.advance(now, &mut evs);
+            for &ev in &evs {
                 match ev {
                     LinkEvent::DataDelivered {
                         to: End::B, byte, ..

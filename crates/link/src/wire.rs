@@ -213,7 +213,8 @@ pub struct DuplexLink {
     lines: [Line; 2],
     /// When (if ever) the whole wire dies.
     dead_from: Option<u64>,
-    /// Events produced by packet starts, drained by [`DuplexLink::advance`].
+    /// Events produced by packet starts, drained by [`DuplexLink::advance`]
+    /// (or intercepted by [`DuplexLink::drain_pending_events`]).
     pending_events: Vec<LinkEvent>,
 }
 
@@ -325,12 +326,20 @@ impl DuplexLink {
         }
     }
 
-    /// Take any start events produced by sends that have not yet been
+    /// Drain the start events produced by sends that have not yet been
     /// drained by [`DuplexLink::advance`]. Schedulers that must handle
     /// start events at their own stamped times (rather than at the next
-    /// `advance` call) use this to intercept them.
-    pub fn take_pending_events(&mut self) -> Vec<LinkEvent> {
-        std::mem::take(&mut self.pending_events)
+    /// `advance` call) use this to intercept them; the buffer keeps its
+    /// capacity, so steady-state sends allocate nothing.
+    pub fn drain_pending_events(&mut self) -> std::vec::Drain<'_, LinkEvent> {
+        self.pending_events.drain(..)
+    }
+
+    /// Discard the start events produced by sends, in place. For
+    /// schedulers whose receivers never acknowledge early, so a start
+    /// carries no information.
+    pub fn clear_pending_events(&mut self) {
+        self.pending_events.clear();
     }
 
     /// The earliest time at which something will complete, if any packet
@@ -356,12 +365,14 @@ impl DuplexLink {
     }
 
     /// Deliver everything that has completed by `now` (and any start
-    /// events already produced). Events are returned in time order for
-    /// completions at distinct times; same-instant events are returned in
-    /// line order. Lost packets complete silently; garbled packets
-    /// surface as [`LinkEvent::Garbled`].
-    pub fn advance(&mut self, now: u64) -> Vec<LinkEvent> {
-        let mut events = std::mem::take(&mut self.pending_events);
+    /// events already produced), appending the events to `events` — a
+    /// caller-owned buffer, so a scheduler reusing one buffer pays no
+    /// allocation per call. Events are appended in time order for
+    /// completions at distinct times; same-instant events in line order.
+    /// Lost packets complete silently; garbled packets surface as
+    /// [`LinkEvent::Garbled`].
+    pub fn advance(&mut self, now: u64, events: &mut Vec<LinkEvent>) {
+        events.append(&mut self.pending_events);
         loop {
             let mut progressed = false;
             for i in 0..2 {
@@ -412,7 +423,6 @@ impl DuplexLink {
                 break;
             }
         }
-        events
     }
 }
 
@@ -420,6 +430,13 @@ impl DuplexLink {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+
+    /// One `advance` call into a fresh buffer.
+    fn advance(link: &mut DuplexLink, now: u64) -> Vec<LinkEvent> {
+        let mut events = Vec::new();
+        link.advance(now, &mut events);
+        events
+    }
 
     #[test]
     fn speed_constructors() {
@@ -436,17 +453,46 @@ mod tests {
     fn data_start_event_emitted_immediately() {
         let mut link = DuplexLink::new(LinkSpeed::standard());
         link.send_data(End::A, 7, 0);
-        let evs = link.advance(0);
+        let evs = advance(&mut link, 0);
         assert_eq!(evs, vec![LinkEvent::DataStarted { to: End::B }]);
+    }
+
+    #[test]
+    fn advance_appends_to_the_caller_buffer() {
+        let mut link = DuplexLink::new(LinkSpeed::standard());
+        let mut events = vec![LinkEvent::Garbled { to: End::A }];
+        link.send_data(End::A, 7, 0);
+        link.advance(0, &mut events);
+        assert_eq!(
+            events,
+            vec![
+                LinkEvent::Garbled { to: End::A },
+                LinkEvent::DataStarted { to: End::B },
+            ],
+            "earlier contents are kept, new events appended"
+        );
+        link.advance(1100, &mut events);
+        assert_eq!(events.len(), 3, "the start event is drained only once");
+    }
+
+    #[test]
+    fn pending_start_events_drain_or_clear_in_place() {
+        let mut link = DuplexLink::new(LinkSpeed::standard());
+        link.send_data(End::A, 1, 0);
+        let drained: Vec<LinkEvent> = link.drain_pending_events().collect();
+        assert_eq!(drained, vec![LinkEvent::DataStarted { to: End::B }]);
+        link.send_data(End::B, 2, 0);
+        link.clear_pending_events();
+        assert!(advance(&mut link, 0).is_empty(), "nothing left to drain");
     }
 
     #[test]
     fn delivery_at_eleven_bit_times() {
         let mut link = DuplexLink::new(LinkSpeed::standard());
         link.send_data(End::A, 0x5A, 0);
-        let _ = link.advance(0);
+        let _ = advance(&mut link, 0);
         assert_eq!(link.next_deadline(), Some(1100));
-        let evs = link.advance(1100);
+        let evs = advance(&mut link, 1100);
         assert_eq!(
             evs,
             vec![LinkEvent::DataDelivered {
@@ -466,21 +512,21 @@ mod tests {
         link.send_data(End::B, 1, 0); // occupies the line until 1100
         link.send_data(End::B, 2, 0); // queued
         link.send_ack(End::B, 0); // queued ahead of byte 2
-        let _ = link.advance(0);
-        let evs = link.advance(1100);
+        let _ = advance(&mut link, 0);
+        let evs = advance(&mut link, 1100);
         assert!(evs.contains(&LinkEvent::DataDelivered {
             to: End::A,
             byte: 1,
             seq: false,
         }));
         // Next completion is the ack at 1100 + 200.
-        let evs = link.advance(1300);
+        let evs = advance(&mut link, 1300);
         assert!(evs.contains(&LinkEvent::AckDelivered {
             to: End::A,
             seq: false
         }));
         // Then the second data byte at 1300 + 1100.
-        let evs = link.advance(2400);
+        let evs = advance(&mut link, 2400);
         assert!(evs.contains(&LinkEvent::DataDelivered {
             to: End::A,
             byte: 2,
@@ -495,7 +541,7 @@ mod tests {
         assert_eq!(link.next_deadline(), None);
         link.send_ack(End::A, 5);
         assert!(!link.is_quiescent());
-        link.advance(205);
+        advance(&mut link, 205);
         assert!(link.is_quiescent());
     }
 
@@ -509,9 +555,9 @@ mod tests {
         );
         link.send_data_seq(End::A, 0x42, true, 0);
         // No DataStarted under the robust protocol.
-        assert!(link.advance(0).is_empty());
+        assert!(advance(&mut link, 0).is_empty());
         assert_eq!(link.next_deadline(), Some(1300));
-        let evs = link.advance(1300);
+        let evs = advance(&mut link, 1300);
         assert_eq!(
             evs,
             vec![LinkEvent::DataDelivered {
@@ -521,7 +567,7 @@ mod tests {
             }]
         );
         link.send_busy(End::B, true, 1300);
-        let evs = link.advance(1800);
+        let evs = advance(&mut link, 1800);
         assert_eq!(
             evs,
             vec![LinkEvent::BusyDelivered {
@@ -535,13 +581,13 @@ mod tests {
     fn dead_wire_swallows_packets() {
         let mut link = DuplexLink::new_robust(LinkSpeed::standard(), [None, None], Some(2000));
         link.send_data_seq(End::A, 1, false, 0);
-        let evs = link.advance(1300);
+        let evs = advance(&mut link, 1300);
         assert_eq!(evs.len(), 1, "delivered before death");
         link.send_data_seq(End::A, 2, false, 1300);
         // Completes at 2600 > 2000: lost.
-        assert!(link.advance(2600).is_empty());
+        assert!(advance(&mut link, 2600).is_empty());
         link.send_data_seq(End::A, 3, false, 3000);
-        assert!(link.advance(10_000).is_empty());
+        assert!(advance(&mut link, 10_000).is_empty());
         assert!(link.is_quiescent());
     }
 
@@ -563,7 +609,7 @@ mod tests {
         for _ in 0..64 {
             link.send_data_seq(End::A, 0xAB, false, now);
             now += 1300;
-            for ev in link.advance(now) {
+            for ev in advance(&mut link, now) {
                 match ev {
                     LinkEvent::Garbled { to: End::B } => garbled += 1,
                     other => panic!("unexpected {other:?}"),
@@ -590,7 +636,7 @@ mod tests {
         link.send_data_seq(End::A, 9, false, 0);
         let d = link.next_deadline().unwrap();
         assert!(d > 1300 && d <= 1300 + 400, "jittered deadline {d}");
-        let evs = link.advance(d);
+        let evs = advance(&mut link, d);
         assert_eq!(evs.len(), 1);
         assert_eq!(link.busy_ns(End::A), d);
     }

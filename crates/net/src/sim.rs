@@ -25,6 +25,7 @@
 //! state at the exact instruction boundary that produced it; the engines
 //! are bit-identical in cycle counts, delivered bytes, and memory images.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -482,6 +483,9 @@ impl NetworkBuilder {
             pool: None,
             scratch: WindowScratch::default(),
             router,
+            halted_below: Cell::new(0),
+            link_events: Vec::new(),
+            router_acts: Vec::new(),
         };
         for i in 0..n {
             net.schedule_node(i, 0);
@@ -580,10 +584,24 @@ pub struct Network {
     scratch: WindowScratch,
     /// The virtual-channel router, when enabled: it owns every wire
     /// endpoint, and the CPUs' link ports become virtual-channel
-    /// endpoints (see [`crate::router`]). Taken out of the network for
-    /// the duration of each router call so the router can borrow the
-    /// CPUs.
+    /// endpoints (see [`crate::router`]). Borrowed in place for each
+    /// router call, alongside disjoint borrows of the CPUs and wires.
     router: Option<RouterNet>,
+    /// Termination cursor: every node below this index has halted
+    /// cleanly. Halting is monotone — only [`Network::node_mut`] can
+    /// un-halt a node, and it pulls the cursor back — so
+    /// [`Network::all_halted`] resumes its scan here instead of
+    /// rereading every node after every heap event.
+    halted_below: Cell<usize>,
+    /// Link events being dispatched, used as a stack: each wire drain
+    /// appends its events, walks its own range, and truncates back, so
+    /// a drain nested inside another's dispatch (the event engine's
+    /// acknowledge path) leaves the outer range intact and steady-state
+    /// wire pops allocate nothing.
+    link_events: Vec<LinkEvent>,
+    /// Wire and scheduler effects requested by the current router call,
+    /// applied and cleared by [`Self::apply_router_acts`].
+    router_acts: Vec<(usize, Act)>,
 }
 
 /// The parallel engine's default worker count: the `PAR_WORKERS`
@@ -658,6 +676,10 @@ impl Network {
 
     /// Mutable access to a node (program loading, inspection).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Cpu {
+        // The caller may replace or restart the node: it is no longer
+        // known to be halted.
+        let cursor = self.halted_below.get_mut();
+        *cursor = (*cursor).min(id);
         &mut self.nodes[id]
     }
 
@@ -850,8 +872,9 @@ impl Network {
             self.process_wire_routed(w);
             return;
         }
-        let events = self.wires[w].link.advance(self.now_ns);
-        for ev in events {
+        let (start, end) = self.drain_wire(w);
+        for i in start..end {
+            let ev = self.link_events[i];
             if self.robust {
                 self.process_robust_event(w, ev);
                 continue;
@@ -898,7 +921,19 @@ impl Network {
                 }
             }
         }
+        self.link_events.truncate(start);
         self.schedule_wire(w);
+    }
+
+    /// Append a wire's due events to the shared event stack at the
+    /// frontier and return their range; the caller truncates back to
+    /// `start` when done.
+    fn drain_wire(&mut self, w: usize) -> (usize, usize) {
+        let start = self.link_events.len();
+        self.wires[w]
+            .link
+            .advance(self.now_ns, &mut self.link_events);
+        (start, self.link_events.len())
     }
 
     fn wire_end(&self, w: usize, end: End) -> Port {
@@ -1222,9 +1257,10 @@ impl Network {
                 touched = true;
             }
             if touched {
-                for ev in self.wires[w].link.take_pending_events() {
+                let wire = &mut self.wires[w];
+                for ev in wire.link.drain_pending_events() {
                     if let LinkEvent::DataStarted { to } = ev {
-                        self.wires[w].probes.push((stamp, to));
+                        wire.probes.push((stamp, to));
                     }
                 }
                 self.schedule_wire(w);
@@ -1353,78 +1389,77 @@ impl Network {
     /// router absorb CPU output and resume deliveries, then apply the
     /// wire effects it requested, stamped at `stamp`.
     fn router_service(&mut self, node: usize, stamp: u64) {
-        let mut router = self.router.take().expect("routed mode");
-        let mut acts = Vec::new();
-        router.service_node(&mut self.nodes, node, stamp, &mut acts);
-        self.router = Some(router);
-        self.apply_router_acts(stamp, &acts);
+        let router = self.router.as_mut().expect("routed mode");
+        router.service_node(&mut self.nodes, node, stamp, &mut self.router_acts);
+        self.apply_router_acts(stamp);
     }
 
     /// Routed replacement for wire processing, shared by every engine:
     /// drain due completions and hand them to the endpoint routers.
     fn process_wire_routed(&mut self, w: usize) {
         let now = self.now_ns;
-        let events = self.wires[w].link.advance(now);
-        let mut router = self.router.take().expect("routed mode");
-        let mut acts = Vec::new();
-        for ev in events {
+        let robust = self.robust;
+        let backoff_cap = self.timeout_ns * 16;
+        let (start, end) = self.drain_wire(w);
+        let router = self.router.as_mut().expect("routed mode");
+        let wire = &mut self.wires[w];
+        for &ev in &self.link_events[start..end] {
             match ev {
                 // Routers never early-acknowledge: the forwarding
                 // decision needs the whole byte (and often the whole
                 // packet), so reception starts carry no information.
                 LinkEvent::DataStarted { .. } => {}
                 LinkEvent::DataDelivered { to, byte, seq } => {
-                    let (node, port) = self.wire_end(w, to);
+                    let (node, port) = wire.ends[end_index(to)];
                     let accepted = router.phys_data(
                         &mut self.nodes,
                         node,
                         port,
                         byte,
                         seq,
-                        self.robust,
+                        robust,
                         now,
-                        &mut acts,
+                        &mut self.router_acts,
                     );
                     if accepted {
-                        self.wires[w].delivered[end_index(to)] += 1;
+                        wire.delivered[end_index(to)] += 1;
                     }
                 }
                 LinkEvent::AckDelivered { to, seq } => {
-                    let (node, port) = self.wire_end(w, to);
+                    let (node, port) = wire.ends[end_index(to)];
                     let fresh = router.phys_ack(
                         &mut self.nodes,
                         node,
                         port,
                         seq,
-                        self.robust,
+                        robust,
                         now,
-                        &mut acts,
+                        &mut self.router_acts,
                     );
                     if fresh {
-                        self.wires[w].resend[end_index(to)] = None;
+                        wire.resend[end_index(to)] = None;
                     }
                 }
                 LinkEvent::BusyDelivered { to, seq } => {
                     // Same backoff as the CPU robust path: the peer
                     // router holds our byte with its acknowledge
                     // withheld (backpressure), so poll, don't flood.
-                    if let Some(r) = &mut self.wires[w].resend[end_index(to)] {
+                    if let Some(r) = &mut wire.resend[end_index(to)] {
                         if r.seq == seq {
                             r.attempts = 0;
-                            r.interval_ns =
-                                r.interval_ns.saturating_mul(2).min(self.timeout_ns * 16);
+                            r.interval_ns = r.interval_ns.saturating_mul(2).min(backoff_cap);
                             r.deadline = now + r.interval_ns;
                         }
                     }
                 }
                 LinkEvent::Garbled { to } => {
-                    let (node, _) = self.wire_end(w, to);
+                    let (node, _) = wire.ends[end_index(to)];
                     self.nodes[node].note_link_rx_error();
                 }
             }
         }
-        self.router = Some(router);
-        self.apply_router_acts(now, &acts);
+        self.link_events.truncate(start);
+        self.apply_router_acts(now);
         self.schedule_wire(w);
     }
 
@@ -1433,19 +1468,18 @@ impl Network {
     fn router_wire_failed(&mut self, w: usize) {
         let now = self.now_ns;
         let ends = self.wires[w].ends;
-        let mut router = self.router.take().expect("routed mode");
-        let mut acts = Vec::new();
-        router.wire_failed(&mut self.nodes, w, ends, now, &mut acts);
-        self.router = Some(router);
-        self.apply_router_acts(now, &acts);
+        let router = self.router.as_mut().expect("routed mode");
+        router.wire_failed(&mut self.nodes, w, ends, now, &mut self.router_acts);
+        self.apply_router_acts(now);
     }
 
-    /// Apply the wire- and scheduler-visible effects a router call
-    /// requested. Router logic never re-enters here: acts are
-    /// self-contained, so wire bookkeeping (resend registration,
-    /// scheduling) stays in this one place.
-    fn apply_router_acts(&mut self, stamp: u64, acts: &[(usize, Act)]) {
-        for &(node, act) in acts {
+    /// Apply, then clear, the wire- and scheduler-visible effects the
+    /// last router call queued in `router_acts`. Router logic never
+    /// re-enters here: acts are self-contained, so wire bookkeeping
+    /// (resend registration, scheduling) stays in this one place.
+    fn apply_router_acts(&mut self, stamp: u64) {
+        for i in 0..self.router_acts.len() {
+            let (node, act) = self.router_acts[i];
             if let Act::Wake = act {
                 self.schedule_node(node, stamp);
                 continue;
@@ -1490,9 +1524,10 @@ impl Network {
             }
             // Routers never early-acknowledge, so data-start probes are
             // meaningless in routed mode: discard them.
-            self.wires[w].link.take_pending_events();
+            self.wires[w].link.clear_pending_events();
             self.schedule_wire(w);
         }
+        self.router_acts.clear();
     }
 
     /// The early-acknowledge decision for a data packet that started
@@ -1546,23 +1581,21 @@ impl Network {
             return;
         }
         let now = self.now_ns;
-        if !self.wires[w].probes.is_empty() {
-            let mut due: Vec<(u64, End)> = Vec::new();
-            self.wires[w].probes.retain(|&(t, to)| {
-                if t <= now {
-                    due.push((t, to));
-                    false
-                } else {
-                    true
-                }
-            });
-            due.sort_by_key(|&(t, _)| t);
-            for (t, to) in due {
-                self.resolve_probe(w, to, t);
-            }
+        // Resolve due probes in stamp order, ties in arrival order.
+        while let Some(i) = self.wires[w]
+            .probes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(t, _))| t <= now)
+            .min_by_key(|&(_, &(t, _))| t)
+            .map(|(i, _)| i)
+        {
+            let (t, to) = self.wires[w].probes.remove(i);
+            self.resolve_probe(w, to, t);
         }
-        let events = self.wires[w].link.advance(now);
-        for ev in events {
+        let (start, end) = self.drain_wire(w);
+        for i in start..end {
+            let ev = self.link_events[i];
             if self.robust {
                 self.process_robust_event(w, ev);
                 continue;
@@ -1603,6 +1636,7 @@ impl Network {
                 }
             }
         }
+        self.link_events.truncate(start);
         self.schedule_wire(w);
     }
 
@@ -1735,11 +1769,24 @@ impl Network {
         }
     }
 
-    /// Whether every node has halted cleanly.
+    /// Whether every node has halted cleanly. Amortised O(1): the scan
+    /// resumes at the termination cursor and advances it past every
+    /// node found halted, so a run pays for each node once rather than
+    /// once per heap event.
     pub fn all_halted(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| n.halt_reason() == Some(HaltReason::Stopped))
+        let stopped = |n: &Cpu| n.halt_reason() == Some(HaltReason::Stopped);
+        let mut i = self.halted_below.get();
+        while i < self.nodes.len() && stopped(&self.nodes[i]) {
+            i += 1;
+        }
+        self.halted_below.set(i);
+        let all = i == self.nodes.len();
+        debug_assert_eq!(
+            all,
+            self.nodes.iter().all(stopped),
+            "termination cursor disagrees with a full scan"
+        );
+        all
     }
 
     /// Run until every node halts cleanly.
@@ -1886,6 +1933,34 @@ mod tests {
             .unwrap();
         let out = net.run_until_all_halted(1_000_000).unwrap();
         assert_eq!(out, SimOutcome::AllHalted);
+    }
+
+    /// The termination cursor never vouches for a node handed out
+    /// through `node_mut`: after a run to `AllHalted`, restarting a node
+    /// below the cursor makes `all_halted` false until it halts again.
+    #[test]
+    fn all_halted_cursor_forgets_a_reloaded_node() {
+        let mut b = NetworkBuilder::new(NetworkConfig::default());
+        let nodes: Vec<NodeId> = (0..3).map(|_| b.add_node()).collect();
+        let mut net = b.build();
+        for &n in &nodes {
+            net.node_mut(n)
+                .load_boot_program(&halting_program())
+                .unwrap();
+        }
+        assert!(!net.all_halted());
+        let out = net.run_until_all_halted(1_000_000).unwrap();
+        assert_eq!(out, SimOutcome::AllHalted);
+        assert!(net.all_halted());
+        // A halted processor stays halted across a program load, so the
+        // reload starts from a fresh processor in the same slot.
+        let cpu = net.node_mut(nodes[1]);
+        *cpu = Cpu::new(CpuConfig::t424());
+        cpu.load_boot_program(&halting_program()).unwrap();
+        assert!(!net.all_halted(), "the reloaded node is running");
+        assert!(!net.all_halted(), "and stays running across checks");
+        net.node_mut(nodes[1]).run_to_halt(1_000).unwrap();
+        assert!(net.all_halted(), "halted again");
     }
 
     fn one_word_sender() -> Vec<u8> {
