@@ -276,9 +276,19 @@ fn router_table(networks: &[NetRun]) {
             .or_else(|| networks.iter().find(|r| r.bench == bench));
         let Some(r) = row else { continue };
         let Some(s) = r.router else { continue };
+        // Heap pops per hop show the packet trains at work; the Event
+        // row (per-frame by design) is quoted beside the Sliced one.
+        let pops = |row: Option<&NetRun>| {
+            row.and_then(NetRun::wire_pops_per_hop)
+                .map_or("n/a".to_string(), |p| format!("{p:.2}"))
+        };
+        let event_row = networks
+            .iter()
+            .find(|e| e.bench == bench && e.engine == Engine::Event);
         println!(
             "ROUTER {bench}: {} sent / {} forwarded / {} delivered / {} dropped, \
-             {} hops, hop ns mean {} / p50 {} / p99 {} / max {}, cut-through {}",
+             {} hops, hop ns mean {} / p50 {} / p99 {} / max {}, cut-through {}, \
+             wire pops/hop {} (event {}), train splits {}",
             s.packets_sent,
             s.packets_forwarded,
             s.packets_delivered,
@@ -289,6 +299,9 @@ fn router_table(networks: &[NetRun]) {
             s.p99_hop_ns(),
             s.max_hop_ns,
             r.cut_through.map_or("n/a".to_string(), |c| c.to_string()),
+            pops(Some(r)),
+            pops(event_row),
+            r.events.train_splits,
         );
     }
 }

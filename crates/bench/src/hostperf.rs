@@ -15,7 +15,7 @@ use std::time::Instant;
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
 use transputer_apps::dbsearch::{DbSearch, DbSearchConfig, HypercubeConfig};
 use transputer_link::FaultPlan;
-use transputer_net::{Engine, RouterConfig, Switching};
+use transputer_net::{Engine, EventCounts, RouterConfig, Switching};
 
 use crate::corpus;
 
@@ -90,9 +90,20 @@ pub struct NetRun {
     /// store-and-forward (the cluster hypercube's e-cube tables do
     /// this). Host-side only, excluded from the fingerprint.
     pub cut_through: Option<bool>,
+    /// Heap pops and train splits of the run. Host-side only, excluded
+    /// from the fingerprint: trains and slices exist to change them.
+    pub events: EventCounts,
 }
 
 impl NetRun {
+    /// Wire heap pops per router hop, `None` on unrouted networks or
+    /// before any hop — 16 for a per-frame store-and-forward hop of an
+    /// 8-byte packet, 2 when it runs as a packet train.
+    pub fn wire_pops_per_hop(&self) -> Option<f64> {
+        let hops = self.router?.hops;
+        (hops > 0).then(|| self.events.wire_pops as f64 / hops as f64)
+    }
+
     /// Simulated processor cycles executed per host second.
     pub fn cycles_per_sec(&self) -> f64 {
         self.cycles as f64 / (self.wall_ms / 1e3)
@@ -248,6 +259,7 @@ fn measure(bench: &'static str, engine: Engine, mut sim: DbSearch) -> NetRun {
         host_cores: host_cores(),
         router: net.router_stats(),
         cut_through: net.router_cut_through(),
+        events: net.event_counts(),
     }
 }
 
@@ -627,6 +639,7 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
         host_cores: host_cores(),
         router: net.router_stats(),
         cut_through: net.router_cut_through(),
+        events: net.event_counts(),
     }
 }
 
@@ -994,7 +1007,7 @@ pub fn to_json(
                  \"packets_delivered\": {}, \"packets_dropped\": {}, \
                  \"hops\": {}, \"mean_hop_ns\": {}, \"p50_hop_ns\": {}, \
                  \"p99_hop_ns\": {}, \"max_hop_ns\": {}, \
-                 \"cut_through\": {cut_through}}}",
+                 \"wire_pops_per_hop\": {:.2}, \"cut_through\": {cut_through}}}",
                 s.packets_sent,
                 s.packets_forwarded,
                 s.packets_delivered,
@@ -1004,6 +1017,7 @@ pub fn to_json(
                 s.p50_hop_ns(),
                 s.p99_hop_ns(),
                 s.max_hop_ns,
+                r.wire_pops_per_hop().unwrap_or(0.0),
             )
         });
         out.push_str(&format!(

@@ -357,6 +357,34 @@ impl DuplexLink {
         self.lines[from.index()].busy_ns
     }
 
+    /// Put `kind` on the idle line driven by `from` as though it had
+    /// started at `start_ns`, charging its flight to the line's busy
+    /// time; returns its completion time. Classic lines only, and no
+    /// start event is produced. For schedulers that skip a fixed chain
+    /// of frames and later resume it mid-chain (see
+    /// [`DuplexLink::charge_busy`] for the frames already crossed).
+    pub fn resume_frame(&mut self, from: End, kind: PacketKind, start_ns: u64) -> u64 {
+        debug_assert_eq!(self.protocol, LinkProtocol::Classic);
+        let line = &mut self.lines[from.index()];
+        debug_assert!(line.in_flight.is_none() && line.queue.is_empty());
+        let duration = self.speed.frame_ns(self.protocol, kind);
+        let done_ns = start_ns + duration;
+        line.in_flight = Some(InFlight {
+            kind,
+            seq: false,
+            done_ns,
+            fate: Fate::Deliver { extra_ns: 0 },
+        });
+        line.busy_ns += duration;
+        done_ns
+    }
+
+    /// Charge `ns` of transmit time to the line driven by `from`, for
+    /// frames that crossed it without being stepped one by one.
+    pub fn charge_busy(&mut self, from: End, ns: u64) {
+        self.lines[from.index()].busy_ns += ns;
+    }
+
     /// Whether both lines are idle with nothing queued.
     pub fn is_quiescent(&self) -> bool {
         self.lines
@@ -532,6 +560,23 @@ mod tests {
             byte: 2,
             seq: false,
         }));
+    }
+
+    /// A resumed frame completes and counts exactly like one sent at its
+    /// start time.
+    #[test]
+    fn resumed_frame_matches_a_sent_one() {
+        let mut sent = DuplexLink::new(LinkSpeed::standard());
+        sent.send_data(End::A, 9, 300);
+        let _ = advance(&mut sent, 300);
+        let mut resumed = DuplexLink::new(LinkSpeed::standard());
+        assert_eq!(resumed.resume_frame(End::A, PacketKind::Data(9), 300), 1400);
+        assert_eq!(resumed.next_deadline(), sent.next_deadline());
+        assert_eq!(advance(&mut resumed, 1400), advance(&mut sent, 1400));
+        assert_eq!(resumed.busy_ns(End::A), sent.busy_ns(End::A));
+        resumed.charge_busy(End::B, 200);
+        assert_eq!(resumed.busy_ns(End::B), 200);
+        assert!(resumed.is_quiescent());
     }
 
     #[test]

@@ -609,6 +609,67 @@ impl RouterNet {
         acts.push((node, Act::Data { port, byte, seq }));
     }
 
+    /// The wire image and length of the packet whose first byte the out
+    /// port `tx` has just started, provided the hop to the peer's in
+    /// port `rx` is a plain store-and-forward hop: no cut-through, the
+    /// transmitter at byte 0 of its queue-front packet, and the receiver
+    /// between packets with nothing to swallow. Such a hop is a fixed
+    /// chain of byte and acknowledge frames whose intermediate steps
+    /// touch nothing but the two ports' sequence and buffer state — the
+    /// simulator may run it as a packet train.
+    pub(crate) fn train_packet(
+        &self,
+        tx: (usize, usize),
+        rx: (usize, usize),
+    ) -> Option<([u8; HEADER_BYTES + MAX_PAYLOAD], usize)> {
+        let (t, r) = (&self.nodes[tx.0], &self.nodes[rx.0]);
+        let plain_tx =
+            t.tx_pos[tx.1] == Some(0) && t.stream_out[tx.1].is_none() && !t.tx_abort[tx.1];
+        let idle_rx = r.rx[rx.1].have == 0
+            && r.stream_in[rx.1].is_none()
+            && r.skip[rx.1] == 0
+            && r.parked[rx.1].is_none();
+        if self.cut_through || !plain_tx || !idle_rx {
+            return None;
+        }
+        let pkt = t.outq[tx.1].front()?;
+        let mut image = [0u8; HEADER_BYTES + MAX_PAYLOAD];
+        for (pos, b) in image.iter_mut().enumerate().take(pkt.wire_len()) {
+            *b = pkt.byte(pos);
+        }
+        Some((image, pkt.wire_len()))
+    }
+
+    /// Fast-forward a train hop (see [`RouterNet::train_packet`]) to
+    /// the state its skipped frames leave: `acked` acknowledges received
+    /// by `tx`, and the first `delivered` bytes of `image` reassembled at
+    /// `rx`, the first of them arriving at `first_ns`. Exactly what
+    /// [`RouterNet::phys_ack`] and [`RouterNet::phys_data`] would have
+    /// done frame by frame.
+    pub(crate) fn train_advance(
+        &mut self,
+        tx: (usize, usize),
+        rx: (usize, usize),
+        image: &[u8],
+        acked: usize,
+        delivered: usize,
+        first_ns: u64,
+    ) {
+        let t = &mut self.nodes[tx.0];
+        debug_assert_eq!(t.tx_pos[tx.1], Some(0));
+        t.tx_pos[tx.1] = Some(acked);
+        t.tx_seq[tx.1] ^= acked % 2 == 1;
+        let r = &mut self.nodes[rx.0];
+        debug_assert_eq!(r.rx[rx.1].have, 0);
+        if delivered > 0 {
+            let reasm = &mut r.rx[rx.1];
+            reasm.buf[..delivered].copy_from_slice(&image[..delivered]);
+            reasm.have = delivered;
+            reasm.start_ns = first_ns;
+        }
+        r.rx_seq[rx.1] ^= delivered % 2 == 1;
+    }
+
     /// An acknowledge arrived on `node`'s physical `port`. Returns true
     /// when it was fresh (the simulator then clears the wire's resend
     /// state).

@@ -24,6 +24,15 @@
 //! state ends its slice ([`SliceOutcome`]), so wires always observe link
 //! state at the exact instruction boundary that produced it; the engines
 //! are bit-identical in cycle counts, delivered bytes, and memory images.
+//!
+//! Heap entries are ordered by a causal key — time, then the instant
+//! of the action that scheduled the entry, then nodes before wires — so
+//! every engine resolves same-instant ties by simulated history alone.
+//! That is what lets the sliced engines run a store-and-forward hop over
+//! a clean routed wire as a packet *train*: two heap events (the final
+//! byte and its acknowledge) instead of two per byte, with the elided
+//! frames' heap positions computed rather than pushed. The event engine
+//! stays per-frame, the oracle the trains are checked against.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -32,6 +41,7 @@ use std::fmt;
 
 use transputer::linkif::SeqCheck;
 use transputer::{Cpu, CpuConfig, HaltReason, SliceOutcome, StepEvent};
+use transputer_link::vc::{HEADER_BYTES, MAX_PAYLOAD};
 use transputer_link::{
     AckPolicy, DuplexLink, End, FaultPlan, LinkEvent, LinkProtocol, LinkSpeed, PacketKind,
 };
@@ -184,6 +194,45 @@ struct Wire {
     /// Directions declared failed after the retry budget ran out
     /// (indexed by sending end).
     failed: [bool; 2],
+}
+
+/// A store-and-forward hop run as a packet train (sliced engines,
+/// classic routed wires). Routers acknowledge a byte only after its stop
+/// bit, so a hop over an otherwise idle wire is a fixed chain of frames:
+/// byte `k` starts at `t0 + k·(data_ns + ack_ns)` and its acknowledge
+/// starts `data_ns` later. Chain frame `j` is byte `j/2`'s delivery for
+/// even `j` and its acknowledge's delivery for odd `j`; each is keyed
+/// on the heap by its arrival time and caused at its own start. Only the
+/// final byte's delivery (frame `2·len − 2`) is pushed; the frames
+/// before it touch nothing but the wire and the two ports' sequence and
+/// reassembly state, so they are elided and applied in closed form when
+/// something observes the wire — the final pop, or any other send on
+/// either line (a *split*).
+#[derive(Debug, Clone, Copy)]
+struct Train {
+    /// Index of the sending end.
+    from: usize,
+    /// Start of byte 0's frame.
+    t0: u64,
+    /// The packet's wire image, header first.
+    image: [u8; HEADER_BYTES + MAX_PAYLOAD],
+    /// Wire bytes in the packet.
+    len: usize,
+}
+
+/// Host-side event counters of a [`Network`]. Like the router and cache
+/// counters they are engine-dependent by design — trains and slices
+/// exist to change them — and never part of outcome fingerprints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Node entries popped from the heap (instructions under the event
+    /// engine, slices under the sliced engines).
+    pub node_pops: u64,
+    /// Wire entries popped from the heap, stale ones included.
+    pub wire_pops: u64,
+    /// Packet trains broken back to per-frame state before their final
+    /// byte, because something else was sent on the wire mid-train.
+    pub train_splits: u64,
 }
 
 /// Per-port early-acknowledge history: enough state to answer "would
@@ -469,7 +518,7 @@ impl NetworkBuilder {
             wires,
             hot,
             queue: BinaryHeap::new(),
-            seq: 0,
+            pop_key: (0, 0, Actor::Node(0)),
             now_ns: 0,
             ea_primed: false,
             horizon_ns: None,
@@ -479,6 +528,10 @@ impl NetworkBuilder {
             timeout_ns,
             max_retries,
             wire_next: vec![u64::MAX; w],
+            wire_cause: vec![0; w],
+            trains: vec![None; w],
+            trains_running: 0,
+            counts: EventCounts::default(),
             par_workers: par_workers_default(),
             pool: None,
             scratch: WindowScratch::default(),
@@ -488,17 +541,29 @@ impl NetworkBuilder {
             router_acts: Vec::new(),
         };
         for i in 0..n {
-            net.schedule_node(i, 0);
+            net.schedule_node(i, 0, 0);
         }
         net
     }
 }
 
+/// Who a heap entry belongs to. The derived order — nodes before
+/// wires, each by index — is the last component of [`Key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Actor {
     Node(usize),
     Wire(usize),
 }
+
+/// A heap entry's order: `(time, cause_ns, actor)`. `cause_ns` is the
+/// simulated instant of the action that scheduled the entry — the send
+/// stamp for wire work requested at a stamp, else the frontier — so
+/// entries due at one instant run in causal order, then nodes before
+/// wires, each by index. Unlike a push counter, the key of an entry
+/// depends only on simulated history, never on how many host-side
+/// pushes preceded it; that is what lets a packet train compute where
+/// each frame it elides would have sat in the heap.
+type Key = (u64, u64, Actor);
 
 /// The hot side of the per-node state split: everything the sliced
 /// engines' sweep reads per node while planning windows and slice
@@ -539,6 +604,8 @@ struct NodeHot {
 struct WindowScratch {
     /// Popped `(time, node)` pairs of the open window.
     batch: Vec<(u64, usize)>,
+    /// The popped entries' causes, parallel to `batch`.
+    causes: Vec<u64>,
     /// Planned slices with their bounds and result slots, in pop order.
     slots: Vec<Slot>,
 }
@@ -551,8 +618,10 @@ pub struct Network {
     wires: Vec<Wire>,
     /// Dense per-node scheduling state (the hot side of the node split).
     hot: NodeHot,
-    queue: BinaryHeap<Reverse<(u64, u64, Actor)>>,
-    seq: u64,
+    queue: BinaryHeap<Reverse<Key>>,
+    /// Key of the entry being processed (or last processed): every
+    /// elided train frame keyed below it has happened.
+    pop_key: Key,
     now_ns: u64,
     /// Whether `hot.ea` has been initialised from live link state.
     ea_primed: bool,
@@ -570,11 +639,24 @@ pub struct Network {
     max_retries: u32,
     /// Pop time of each wire's single live heap entry (`u64::MAX` =
     /// none), maintained by [`Self::schedule_wire`]. Doubles as the
-    /// dedup guard — a popped entry whose time no longer matches is
-    /// stale and skipped — and feeds the slice bounds without
-    /// rescanning link state (never later than the wire's true next
-    /// event, so the bounds stay conservative).
+    /// dedup guard — with `wire_cause`: a popped entry whose time or
+    /// cause no longer matches is stale and skipped — and feeds the
+    /// slice bounds without rescanning link state (never later than the
+    /// wire's true next event, so the bounds stay conservative). A train
+    /// wire's live entry is its final byte, so while any train runs the
+    /// bounds read [`Self::wire_next_ns`] instead.
     wire_next: Vec<u64>,
+    /// Cause of each wire's live heap entry.
+    wire_cause: Vec<u64>,
+    /// The store-and-forward hop running as a packet train on each
+    /// wire, if any. While one runs, both lines of the wire's link sit
+    /// idle: the train's frames are recovered in closed form by
+    /// [`Self::expand_train`].
+    trains: Vec<Option<Train>>,
+    /// How many entries of `trains` are running.
+    trains_running: usize,
+    /// Host-side event counters.
+    counts: EventCounts,
     /// Host threads available to the parallel engine (cached once).
     par_workers: usize,
     /// The parallel engine's persistent worker pool: created at the
@@ -641,6 +723,20 @@ impl Network {
     pub fn set_engine(&mut self, engine: Engine) {
         self.config.engine = engine;
         self.ea_primed = false;
+        if engine == Engine::Event {
+            // The event engine is the per-frame oracle: it never runs
+            // trains, so hand it every wire in per-frame state.
+            for w in 0..self.wires.len() {
+                if self.trains[w].is_some() {
+                    self.split_train(w);
+                }
+            }
+        }
+    }
+
+    /// Host-side event counters (see [`EventCounts`]).
+    pub fn event_counts(&self) -> EventCounts {
+        self.counts
     }
 
     /// Override the parallel engine's cached host-thread count (clamped
@@ -685,8 +781,14 @@ impl Network {
 
     /// Data bytes delivered over a wire, per direction. Under the robust
     /// protocol only accepted (non-duplicate) bytes count.
+    #[inline]
     pub fn wire_delivered(&self, wire: usize) -> (u64, u64) {
-        (self.wires[wire].delivered[0], self.wires[wire].delivered[1])
+        let mut d = self.wires[wire].delivered;
+        if self.trains[wire].is_some() {
+            let (from, _, delivered) = self.train_progress(wire);
+            d[1 - from] += delivered;
+        }
+        (d[0], d[1])
     }
 
     /// Whether each transmit direction of a wire (from end 0, from end 1)
@@ -771,7 +873,15 @@ impl Network {
     /// from end 1), in nanoseconds.
     pub fn wire_busy_ns(&self, wire: usize) -> (u64, u64) {
         let w = &self.wires[wire];
-        (w.link.busy_ns(End::A), w.link.busy_ns(End::B))
+        let mut busy = [w.link.busy_ns(End::A), w.link.busy_ns(End::B)];
+        if self.trains[wire].is_some() {
+            let (from, acked, delivered) = self.train_progress(wire);
+            // Byte `k + 1` starts as acknowledge `k` lands, and each
+            // acknowledge as its byte lands; byte 0 started the train.
+            busy[from] += (acked + 1) * self.data_ns;
+            busy[1 - from] += delivered * self.ack_ns;
+        }
+        (busy[0], busy[1])
     }
 
     /// Utilisation of a wire's two directions over the elapsed
@@ -784,12 +894,11 @@ impl Network {
         (a as f64 / self.now_ns as f64, b as f64 / self.now_ns as f64)
     }
 
-    fn schedule_node(&mut self, node: usize, at: u64) {
+    fn schedule_node(&mut self, node: usize, at: u64, cause: u64) {
         if !self.hot.scheduled[node] {
             self.hot.scheduled[node] = true;
             self.hot.next_ns[node] = at;
-            self.seq += 1;
-            self.queue.push(Reverse((at, self.seq, Actor::Node(node))));
+            self.queue.push(Reverse((at, cause, Actor::Node(node))));
         }
     }
 
@@ -805,7 +914,11 @@ impl Network {
             .min()
     }
 
-    fn schedule_wire(&mut self, wire: usize) {
+    /// Schedule a wire's next pending activity, caused at `cause`.
+    fn schedule_wire(&mut self, wire: usize, cause: u64) {
+        if self.trains[wire].is_some() {
+            return; // the train's final byte holds the live entry
+        }
         match self.wire_next_event_ns(wire) {
             Some(t) => {
                 // At most one live heap entry per wire (`wire_next`
@@ -817,12 +930,188 @@ impl Network {
                 if self.wire_next[wire] <= t {
                     return;
                 }
-                self.wire_next[wire] = t;
-                self.seq += 1;
-                self.queue.push(Reverse((t, self.seq, Actor::Wire(wire))));
+                self.push_wire(wire, t, cause);
             }
             None => self.wire_next[wire] = u64::MAX,
         }
+    }
+
+    /// Push a wire's live heap entry, superseding any earlier one.
+    fn push_wire(&mut self, wire: usize, t: u64, cause: u64) {
+        self.wire_next[wire] = t;
+        self.wire_cause[wire] = cause;
+        self.queue.push(Reverse((t, cause, Actor::Wire(wire))));
+    }
+
+    /// Whether a popped wire entry is the wire's live one and must be
+    /// processed now; if so, consume it (processing reschedules).
+    fn take_live_wire_pop(&mut self, w: usize, t: u64, cause: u64) -> bool {
+        self.counts.wire_pops += 1;
+        if self.wire_next[w] != t || self.wire_cause[w] != cause || self.wire_pop_deferred(w, t) {
+            return false;
+        }
+        self.wire_next[w] = u64::MAX;
+        true
+    }
+
+    // ------------------------------------------------------------------
+    // Packet trains (see [`Train`]).
+    // ------------------------------------------------------------------
+
+    /// Arrival time of chain frame `j` of a train whose byte 0 started
+    /// at `t0`.
+    fn chain_time(&self, t0: u64, j: u64) -> u64 {
+        let p = self.data_ns + self.ack_ns;
+        if j.is_multiple_of(2) {
+            t0 + j / 2 * p + self.data_ns
+        } else {
+            t0 + j.div_ceil(2) * p
+        }
+    }
+
+    /// How many chain frames of wire `w`'s train (byte 0 started at
+    /// `t0`) are keyed below `key`, uncapped. Frame times strictly
+    /// increase, so at most one frame can tie with `key`'s time; it
+    /// precedes `key` iff its cause (its own start) and actor do.
+    fn chain_frames_before(&self, w: usize, t0: u64, key: Key) -> u64 {
+        let (t, cause, actor) = key;
+        if t <= t0 {
+            return 0;
+        }
+        let (d, p) = (self.data_ns, self.data_ns + self.ack_ns);
+        let x = t - t0;
+        let deliveries = if x > d { (x - d).div_ceil(p) } else { 0 };
+        let acks = (x - 1) / p;
+        let tie_cause = if x >= d && (x - d).is_multiple_of(p) {
+            Some(t - d)
+        } else if x.is_multiple_of(p) {
+            Some(t - self.ack_ns)
+        } else {
+            None
+        };
+        let tie = tie_cause.is_some_and(|c| (c, Actor::Wire(w)) < (cause, actor));
+        deliveries + acks + u64::from(tie)
+    }
+
+    /// Frames of wire `w`'s running train that have happened by
+    /// `pop_key`, as `(sending end, acknowledges received, bytes
+    /// delivered)`. The final byte is never counted: it is a real heap
+    /// entry, and its pop ends the train.
+    #[cold]
+    fn train_progress(&self, w: usize) -> (usize, u64, u64) {
+        let tr = self.trains[w].as_ref().expect("a train is running");
+        let m = self
+            .chain_frames_before(w, tr.t0, self.pop_key)
+            .min(2 * tr.len as u64 - 2);
+        (tr.from, m / 2, m.div_ceil(2))
+    }
+
+    /// The next per-frame instant of wire `w`, as the slice bounds read
+    /// it while a train runs: the live heap entry's time, or a train's
+    /// next chain frame — exactly the entry the per-frame schedule would
+    /// hold, so slices end where they would without the train.
+    fn wire_next_ns(&self, w: usize) -> u64 {
+        match &self.trains[w] {
+            None => self.wire_next[w],
+            Some(tr) => self.chain_time(tr.t0, self.chain_frames_before(w, tr.t0, self.pop_key)),
+        }
+    }
+
+    /// Run the data frame that end index `from` of wire `w` sends at
+    /// `stamp` as a packet train, if the hop qualifies: a sliced engine,
+    /// classic lines both idle, and a plain store-and-forward hop
+    /// starting byte 0 (see [`RouterNet::train_packet`]). Robust wires,
+    /// cut-through streams and the event engine — the per-frame oracle —
+    /// never qualify.
+    fn try_start_train(&mut self, w: usize, from: usize, stamp: u64) -> bool {
+        if self.robust || self.config.engine == Engine::Event {
+            return false;
+        }
+        let wire = &self.wires[w];
+        if self.trains[w].is_some() || !wire.link.is_quiescent() {
+            return false;
+        }
+        let Some(router) = self.router.as_ref() else {
+            return false;
+        };
+        let Some((image, len)) = router.train_packet(wire.ends[from], wire.ends[1 - from]) else {
+            return false;
+        };
+        debug_assert_eq!(
+            self.wire_next[w],
+            u64::MAX,
+            "an idle wire has no live entry"
+        );
+        self.trains[w] = Some(Train {
+            from,
+            t0: stamp,
+            image,
+            len,
+        });
+        self.trains_running += 1;
+        // The final byte's delivery, keyed as the per-frame chain keys
+        // it: caused at its own start.
+        let t = self.chain_time(stamp, 2 * len as u64 - 2);
+        self.push_wire(w, t, t - self.data_ns);
+        true
+    }
+
+    /// End wire `w`'s train at `pop_key`: apply every chain frame keyed
+    /// below it in closed form — router sequence and reassembly state,
+    /// delivered bytes, line busy time — and put the frame in flight at
+    /// that point back on its line. Returns that frame's heap key
+    /// `(time, cause)`, the one the per-frame schedule holds for it.
+    fn expand_train(&mut self, w: usize) -> (u64, u64) {
+        let tr = self.trains[w].take().expect("a train is running");
+        self.trains_running -= 1;
+        let m = self
+            .chain_frames_before(w, tr.t0, self.pop_key)
+            .min(2 * tr.len as u64 - 2);
+        let (acked, delivered) = (m / 2, m.div_ceil(2));
+        let (from, to) = (tr.from, 1 - tr.from);
+        let ends = self.wires[w].ends;
+        self.router
+            .as_mut()
+            .expect("trains run on routed wires")
+            .train_advance(
+                ends[from],
+                ends[to],
+                &tr.image,
+                acked as usize,
+                delivered as usize,
+                tr.t0 + self.data_ns,
+            );
+        let wire = &mut self.wires[w];
+        wire.delivered[to] += delivered;
+        wire.link
+            .charge_busy(end_at(from), delivered * self.data_ns);
+        wire.link.charge_busy(end_at(to), acked * self.ack_ns);
+        let start = tr.t0 + acked * (self.data_ns + self.ack_ns);
+        if m.is_multiple_of(2) {
+            let byte = tr.image[acked as usize];
+            let done = wire
+                .link
+                .resume_frame(end_at(from), PacketKind::Data(byte), start);
+            (done, start)
+        } else {
+            let start = start + self.data_ns;
+            (
+                wire.link.resume_frame(end_at(to), PacketKind::Ack, start),
+                start,
+            )
+        }
+    }
+
+    /// Break wire `w`'s train back to per-frame state at `pop_key`,
+    /// before anything else is sent on either of its lines.
+    fn split_train(&mut self, w: usize) {
+        let (t, cause) = self.expand_train(w);
+        // Unless the final byte is the one in flight, whose entry is
+        // already queued, queue the frame the split left on the wire.
+        if (t, cause) != (self.wire_next[w], self.wire_cause[w]) {
+            self.push_wire(w, t, cause);
+        }
+        self.counts.train_splits += 1;
     }
 
     /// Process a node's link-facing state after it ran or was poked:
@@ -922,7 +1211,7 @@ impl Network {
             }
         }
         self.link_events.truncate(start);
-        self.schedule_wire(w);
+        self.schedule_wire(w, self.now_ns);
     }
 
     /// Append a wire's due events to the shared event stack at the
@@ -943,7 +1232,7 @@ impl Network {
     /// Schedule a just-woken node; its clock is synced when its event
     /// fires.
     fn sync_and_wake(&mut self, node: usize) {
-        self.schedule_node(node, self.now_ns);
+        self.schedule_node(node, self.now_ns, self.now_ns);
     }
 
     fn node_cycle_ns(&self, node: usize) -> u64 {
@@ -968,21 +1257,21 @@ impl Network {
     /// Advance the simulation by exactly one event. Returns false when
     /// nothing remains to simulate.
     pub fn step_event(&mut self) -> Result<bool, SimError> {
-        let Reverse((t, _, actor)) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Ok(false),
+        let Some(Reverse(key)) = self.queue.pop() else {
+            return Ok(false);
         };
+        let (t, cause, actor) = key;
+        self.pop_key = key;
         self.now_ns = self.now_ns.max(t);
         match actor {
             Actor::Wire(w) => {
-                if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
-                    // Consume the live entry; processing re-schedules.
-                    self.wire_next[w] = u64::MAX;
+                if self.take_live_wire_pop(w, t, cause) {
                     self.process_wire(w);
                     self.fire_due_resends(w);
                 }
             }
             Actor::Node(n) => {
+                self.counts.node_pops += 1;
                 self.hot.scheduled[n] = false;
                 if self.nodes[n].is_idle() {
                     // Bring the idle node's local clock up to global time
@@ -994,13 +1283,13 @@ impl Network {
                     StepEvent::Ran { cycles } => {
                         let next = self.now_ns + u64::from(cycles) * self.node_cycle_ns(n);
                         self.service_node_links(n);
-                        self.schedule_node(n, next);
+                        self.schedule_node(n, next, self.now_ns);
                     }
                     StepEvent::Idle => {
                         self.service_node_links(n);
                         if let Some(wake_cycle) = self.nodes[n].next_timer_wake_cycle() {
                             let at = (wake_cycle * self.node_cycle_ns(n)).max(self.now_ns + 1);
-                            self.schedule_node(n, at);
+                            self.schedule_node(n, at, self.now_ns);
                         }
                         // Otherwise: the node sleeps until a wire wakes it.
                     }
@@ -1076,7 +1365,13 @@ impl Network {
     /// Earliest time node `m` can next act: its scheduled slice, a wire
     /// event addressed to it, or a chain of other events reaching it (no
     /// faster than the heap frontier plus one acknowledge flight).
-    fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>, batch: &[(u64, usize)]) -> u64 {
+    fn peer_activity_ns(
+        &self,
+        m: usize,
+        t_peek: Option<u64>,
+        batch: &[(u64, usize)],
+        wire_next: impl Fn(usize) -> u64,
+    ) -> u64 {
         let mut act = u64::MAX;
         if self.hot.scheduled[m] {
             act = self.hot.next_ns[m];
@@ -1089,7 +1384,7 @@ impl Network {
         for port in 0..4 {
             let w = self.hot.ports[m][port];
             if w != usize::MAX {
-                act = act.min(self.wire_next[w]);
+                act = act.min(wire_next(w));
             }
         }
         if let Some(tp) = t_peek {
@@ -1123,13 +1418,31 @@ impl Network {
     /// frontier after the pop; `batch` carries the pop times of nodes
     /// running concurrently in the same parallel window.
     fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>, batch: &[(u64, usize)]) -> u64 {
+        // Only a running train leaves `wire_next` short of the per-frame
+        // schedule, so without one the plain read is exact.
+        if self.trains_running == 0 {
+            self.slice_bound_with(node, t_peek, batch, |w| self.wire_next[w])
+        } else {
+            self.slice_bound_with(node, t_peek, batch, |w| self.wire_next_ns(w))
+        }
+    }
+
+    /// [`Self::slice_bound_ns`], reading each wire's next instant
+    /// through `wire_next`.
+    fn slice_bound_with(
+        &self,
+        node: usize,
+        t_peek: Option<u64>,
+        batch: &[(u64, usize)],
+        wire_next: impl Fn(usize) -> u64 + Copy,
+    ) -> u64 {
         let mut direct = u64::MAX;
         for port in 0..4 {
             let w = self.hot.ports[node][port];
             if w == usize::MAX {
                 continue;
             }
-            direct = direct.min(self.wire_next[w]);
+            direct = direct.min(wire_next(w));
             let peer = self.hot.peers[node][port];
             // The first packet the peer could land on this node: an
             // acknowledge if our byte is on the wire, else a data byte.
@@ -1144,7 +1457,7 @@ impl Network {
             } else {
                 self.data_ns
             };
-            let act = self.peer_activity_ns(peer, t_peek, batch);
+            let act = self.peer_activity_ns(peer, t_peek, batch, wire_next);
             direct = direct.min(act.saturating_add(hop));
         }
         self.horizon_ns.unwrap_or(u64::MAX).min(direct)
@@ -1187,7 +1500,7 @@ impl Network {
             SliceOutcome::Idle => {
                 if let Some(wake_cycle) = self.nodes[node].next_timer_wake_cycle() {
                     let at = (wake_cycle * cyc).max(end_ns + 1);
-                    self.schedule_node(node, at);
+                    self.schedule_node(node, at, t);
                 }
                 // Otherwise: the node sleeps until a wire wakes it.
             }
@@ -1205,7 +1518,7 @@ impl Network {
                     // still changed at the interaction instruction.
                     self.refresh_ea(node, stamp);
                 }
-                self.schedule_node(node, end_ns);
+                self.schedule_node(node, end_ns, t);
             }
         }
         Ok(())
@@ -1263,7 +1576,7 @@ impl Network {
                         wire.probes.push((stamp, to));
                     }
                 }
-                self.schedule_wire(w);
+                self.schedule_wire(w, stamp);
             }
         }
         self.refresh_tx_flight(node);
@@ -1307,7 +1620,7 @@ impl Network {
             fired = true;
         }
         if fired {
-            self.schedule_wire(w);
+            self.schedule_wire(w, now);
         }
     }
 
@@ -1398,6 +1711,12 @@ impl Network {
     /// drain due completions and hand them to the endpoint routers.
     fn process_wire_routed(&mut self, w: usize) {
         let now = self.now_ns;
+        if self.trains[w].is_some() {
+            // The train's final byte: bring the hop up to it, then
+            // deliver it like any other frame.
+            let live = self.expand_train(w);
+            debug_assert_eq!(live, (self.pop_key.0, self.pop_key.1));
+        }
         let robust = self.robust;
         let backoff_cap = self.timeout_ns * 16;
         let (start, end) = self.drain_wire(w);
@@ -1460,7 +1779,7 @@ impl Network {
         }
         self.link_events.truncate(start);
         self.apply_router_acts(now);
-        self.schedule_wire(w);
+        self.schedule_wire(w, now);
     }
 
     /// A wire direction exhausted its retry budget under a routed
@@ -1481,7 +1800,7 @@ impl Network {
         for i in 0..self.router_acts.len() {
             let (node, act) = self.router_acts[i];
             if let Act::Wake = act {
-                self.schedule_node(node, stamp);
+                self.schedule_node(node, stamp, stamp);
                 continue;
             }
             let port = match act {
@@ -1495,7 +1814,11 @@ impl Network {
             } else {
                 End::B
             };
+            if self.trains[w].is_some() {
+                self.split_train(w);
+            }
             match act {
+                Act::Data { .. } if self.try_start_train(w, end_index(end), stamp) => continue,
                 Act::Data { byte, seq, .. } => {
                     if self.robust {
                         self.wires[w].link.send_data_seq(end, byte, seq, stamp);
@@ -1525,7 +1848,7 @@ impl Network {
             // Routers never early-acknowledge, so data-start probes are
             // meaningless in routed mode: discard them.
             self.wires[w].link.clear_pending_events();
-            self.schedule_wire(w);
+            self.schedule_wire(w, stamp);
         }
         self.router_acts.clear();
     }
@@ -1544,9 +1867,9 @@ impl Network {
     /// Whether a wire pop at `t` must wait for node entries scheduled at
     /// the same instant. A data-start probe stamped exactly `t` ties with
     /// any instruction starting at `t`; the event engine executes the
-    /// instruction first (its heap entry was pushed before the sender's
-    /// step ran), so the sliced engine re-queues the wire behind the
-    /// pending node entries to observe the same post-instruction state.
+    /// instruction first (its entry was caused no later than the sender's
+    /// step), so the sliced engine re-queues the wire behind the pending
+    /// node entries to observe the same post-instruction state.
     /// A resend deadline at exactly `t` ties the same way (the node's
     /// sends at `t` must enter the line queue before the retransmission
     /// starts); *every* engine applies that deferral, establishing one
@@ -1566,8 +1889,8 @@ impl Network {
         let node_pending =
             (0..self.nodes.len()).any(|n| self.hot.scheduled[n] && self.hot.next_ns[n] == t);
         if node_pending {
-            self.seq += 1;
-            self.queue.push(Reverse((t, self.seq, Actor::Wire(w))));
+            // Caused now, at `t`: it sorts after every node entry at `t`.
+            self.push_wire(w, t, t);
             return true;
         }
         false
@@ -1637,28 +1960,28 @@ impl Network {
             }
         }
         self.link_events.truncate(start);
-        self.schedule_wire(w);
+        self.schedule_wire(w, now);
     }
 
     /// Advance the simulation by one heap event under the sliced engine:
     /// a wire event, or one whole node slice.
     fn step_sliced(&mut self) -> Result<bool, SimError> {
         self.prime_ea();
-        let Reverse((t, _, actor)) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Ok(false),
+        let Some(Reverse(key)) = self.queue.pop() else {
+            return Ok(false);
         };
+        let (t, cause, actor) = key;
+        self.pop_key = key;
         self.now_ns = self.now_ns.max(t);
         match actor {
             Actor::Wire(w) => {
-                if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
-                    // Consume the live entry; processing re-schedules.
-                    self.wire_next[w] = u64::MAX;
+                if self.take_live_wire_pop(w, t, cause) {
                     self.process_wire_sliced(w);
                     self.fire_due_resends(w);
                 }
             }
             Actor::Node(n) => {
+                self.counts.node_pops += 1;
                 self.hot.scheduled[n] = false;
                 let t_peek = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
                 let bound = self.slice_bound_ns(n, t_peek, &[]);
@@ -1677,16 +2000,15 @@ impl Network {
     /// pool runs the same slots inline — one shared path either way.
     fn step_parallel(&mut self) -> Result<bool, SimError> {
         self.prime_ea();
-        let Reverse((t0, _, actor)) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Ok(false),
+        let Some(Reverse(key)) = self.queue.pop() else {
+            return Ok(false);
         };
+        let (t0, c0, actor) = key;
+        self.pop_key = key;
         self.now_ns = self.now_ns.max(t0);
         let n0 = match actor {
             Actor::Wire(w) => {
-                if self.wire_next[w] == t0 && !self.wire_pop_deferred(w, t0) {
-                    // Consume the live entry; processing re-schedules.
-                    self.wire_next[w] = u64::MAX;
+                if self.take_live_wire_pop(w, t0, c0) {
                     self.process_wire_sliced(w);
                     self.fire_due_resends(w);
                 }
@@ -1694,20 +2016,27 @@ impl Network {
             }
             Actor::Node(n) => n,
         };
+        self.counts.node_pops += 1;
         self.hot.scheduled[n0] = false;
         let window_end = t0.saturating_add(self.ack_ns.min(self.data_ns));
         let mut batch = std::mem::take(&mut self.scratch.batch);
+        let mut causes = std::mem::take(&mut self.scratch.causes);
         batch.clear();
+        causes.clear();
         batch.push((t0, n0));
-        while let Some(&Reverse((t, _, Actor::Node(n)))) = self.queue.peek() {
+        causes.push(c0);
+        while let Some(&Reverse((t, c, Actor::Node(n)))) = self.queue.peek() {
             if t > window_end {
                 break;
             }
             self.queue.pop();
+            self.counts.node_pops += 1;
             self.hot.scheduled[n] = false;
             batch.push((t, n));
+            causes.push(c);
         }
         if batch.len() == 1 {
+            self.scratch.causes = causes;
             self.scratch.batch = batch;
             let t_peek = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
             let bound = self.slice_bound_ns(n0, t_peek, &[]);
@@ -1719,7 +2048,11 @@ impl Network {
         let remaining_top = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
         // Bounds are computed against pre-window state; a batch member's
         // own influence on its neighbours is covered by its pop time
-        // appearing in `batch` (its sends are stamped no earlier).
+        // appearing in `batch` (its sends are stamped no earlier). Train
+        // frames are read as of the first pop, which can only shorten
+        // the later members' bounds; reading them at each member's own
+        // pop would not be safe, since an earlier member's split leaves
+        // the frames before that pop queued, not yet applied.
         let mut slots = std::mem::take(&mut self.scratch.slots);
         slots.clear();
         for (i, &(t, n)) in batch.iter().enumerate() {
@@ -1749,13 +2082,16 @@ impl Network {
         // as it pops, satisfying `run_window`'s safety contract.
         pool.run_window(self.nodes.as_mut_ptr(), &mut slots);
         let mut result = Ok(true);
-        for slot in &slots {
+        for (slot, &cause) in slots.iter().zip(&causes) {
+            // Merge in pop order, each slot at its own heap position.
+            self.pop_key = (slot.t, cause, Actor::Node(slot.node));
             if let Err(e) = self.finish_slice(slot.node, slot.t, slot.pop_cycles, slot.outcome) {
                 result = Err(e);
                 break;
             }
         }
         self.scratch.batch = batch;
+        self.scratch.causes = causes;
         self.scratch.slots = slots;
         result
     }
@@ -1823,6 +2159,9 @@ impl Network {
             if let Some(Reverse((t, _, _))) = self.queue.peek() {
                 if *t >= end {
                     self.now_ns = end;
+                    // Everything due before `end` has happened, elided
+                    // train frames included.
+                    self.pop_key = self.pop_key.max((end, 0, Actor::Node(0)));
                     break Ok(SimOutcome::TimeLimit);
                 }
             }
@@ -1838,10 +2177,17 @@ impl Network {
 
     /// Run until a predicate over the network holds. The predicate is
     /// evaluated after every heap event; under the sliced engines that is
-    /// after every node *slice* rather than every instruction, but wire
-    /// observables (delivered-byte counts, wire times) change at heap
-    /// events only, so predicates over them fire at identical times in
-    /// all engines.
+    /// after every node *slice* rather than every instruction, and after
+    /// every packet train rather than every frame. The wire observables
+    /// ([`Network::wire_delivered`], [`Network::wire_busy_ns`]) are
+    /// per-frame exact at every evaluation — a train's elided frames are
+    /// counted in closed form up to the heap position being processed —
+    /// but the frames between a train's first byte and its final one
+    /// land between evaluations. A predicate over delivered bytes
+    /// therefore fires at identical times in all engines when its
+    /// thresholds fall on packet boundaries (as `DbSearch::run`'s do:
+    /// every final byte is a heap event), and at the next heap event
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -1881,6 +2227,14 @@ fn end_index(end: End) -> usize {
     match end {
         End::A => 0,
         End::B => 1,
+    }
+}
+
+fn end_at(index: usize) -> End {
+    if index == 0 {
+        End::A
+    } else {
+        End::B
     }
 }
 
